@@ -32,6 +32,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
+use crate::tenancy::FnId;
 use crate::{ReturnAddr, ServiceId};
 
 /// How many messages a SNIC core drains per pipeline invocation.
@@ -173,11 +174,15 @@ impl crate::Validate for PipelineConfig {
     }
 }
 
-/// One request staged on a pipeline core, waiting for its drain cycle.
+/// One admitted request on its way to the dispatch stage — staged on a
+/// pipeline core until its drain cycle, or carried straight to an
+/// unbatched dispatch.
 pub(crate) struct StagedRequest {
     pub(crate) service: ServiceId,
     pub(crate) ret: ReturnAddr,
     pub(crate) key: u64,
+    /// The tenant function the tenancy gate admitted it under, if any.
+    pub(crate) func: Option<FnId>,
     pub(crate) payload: lynx_sim::Payload,
 }
 
@@ -379,6 +384,7 @@ mod tests {
             service: ServiceId::DEFAULT,
             ret: ReturnAddr::Fixed,
             key,
+            func: None,
             payload: lynx_sim::Payload::new(),
         };
         assert!(p.stage(0, req(0)), "first stage on a core schedules");
@@ -409,6 +415,7 @@ mod tests {
                     service: ServiceId::DEFAULT,
                     ret: ReturnAddr::Fixed,
                     key: k,
+                    func: None,
                     payload: lynx_sim::Payload::new(),
                 },
             );

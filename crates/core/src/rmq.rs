@@ -104,8 +104,9 @@ type DoneFn<T> = Box<dyn FnOnce(&mut Sim, crate::Result<T>)>;
 type AttemptFn = Rc<dyn Fn(&mut Sim, u32)>;
 type AttemptHolder = Rc<RefCell<Option<AttemptFn>>>;
 
-/// One collected response: its return address and payload.
-type Response = (ReturnAddr, Payload);
+/// One collected response: its ring sequence number, return address and
+/// payload — `None` when the retry driver gave up on the read.
+type Response = (u64, ReturnAddr, Option<Payload>);
 
 /// Delivery continuation of a batched [`RemoteMqManager::pull_responses`].
 type CollectFn = dyn FnOnce(&mut Sim, Vec<Response>);
@@ -576,20 +577,22 @@ impl RemoteMqManager {
     /// single chained read with one doorbell, and the slots are released
     /// in one bulk acknowledgement.
     ///
-    /// Calls `collected` once with the responses (in production order); if
-    /// no response is pending, `collected` never runs. Under an armed
-    /// fault plan each span is its own fault site: struck spans are
-    /// re-driven individually through the retry machinery while the rest
-    /// of the batch proceeds, slots are released strictly in order, and a
-    /// span whose retry budget is exhausted is discarded (counted in
-    /// `rmq.giveups`) without wedging later responses — `collected` then
-    /// receives only the surviving responses.
+    /// Calls `collected` once with one `(seq, return address, payload)`
+    /// entry per claimed slot, in production order; if no response is
+    /// pending, `collected` never runs. Under an armed fault plan each
+    /// span is its own fault site: struck spans are re-driven
+    /// individually through the retry machinery while the rest of the
+    /// batch proceeds, slots are released strictly in order, and a span
+    /// whose retry budget is exhausted is discarded (counted in
+    /// `rmq.giveups`) without wedging later responses — its entry then
+    /// carries a `None` payload, so the collector learns exactly which
+    /// seq was lost.
     pub fn pull_responses(
         &self,
         sim: &mut Sim,
         mq: &Mqueue,
         max: usize,
-        collected: impl FnOnce(&mut Sim, Vec<(ReturnAddr, Payload)>) + 'static,
+        collected: impl FnOnce(&mut Sim, Vec<(u64, ReturnAddr, Option<Payload>)>) + 'static,
     ) {
         let mut claims = Vec::new();
         while claims.len() < max {
@@ -624,7 +627,7 @@ impl RemoteMqManager {
                             seq,
                             bytes: bytes_out,
                         });
-                        out.push((ret, payload));
+                        out.push((seq, ret, Some(payload)));
                     }
                     collected(sim, out);
                 });
@@ -655,7 +658,7 @@ impl RemoteMqManager {
                         let collected = Rc::clone(&collected);
                         let mq_evt = mq2.clone();
                         move |sim: &mut Sim, bytes: Option<Payload>| {
-                            if let Some(bytes) = bytes {
+                            let payload = bytes.map(|bytes| {
                                 let payload = bytes.slice_from(SLOT_HEADER);
                                 let bytes_out = payload.len();
                                 let q = mq_evt.label();
@@ -664,8 +667,9 @@ impl RemoteMqManager {
                                     seq,
                                     bytes: bytes_out,
                                 });
-                                slots.borrow_mut()[i] = Some((ret, payload));
-                            }
+                                payload
+                            });
+                            slots.borrow_mut()[i] = Some((seq, ret, payload));
                             remaining.set(remaining.get() - 1);
                             if remaining.get() == 0 {
                                 let out = slots.borrow_mut().drain(..).flatten().collect();
@@ -723,18 +727,18 @@ impl RemoteMqManager {
     /// Collects the next ready response from an mqueue's TX ring: an RDMA
     /// read of the slot, after which the slot is released.
     ///
-    /// Calls `collected` with the response's return address and payload.
-    /// Does nothing if no response is pending. Under an armed fault plan
-    /// the read is watchdog-guarded and retried; if the retry budget is
-    /// exhausted the slot is still released (so later responses are not
-    /// wedged) but the response is discarded — counted in `rmq.giveups` —
-    /// and `collected` never runs, which to a UDP client looks like a lost
-    /// reply.
+    /// Calls `collected` with the response's ring sequence number, return
+    /// address and payload. Does nothing if no response is pending. Under
+    /// an armed fault plan the read is watchdog-guarded and retried; if
+    /// the retry budget is exhausted the slot is still released (so later
+    /// responses are not wedged) but the response is discarded — counted
+    /// in `rmq.giveups` — and `collected` runs with a `None` payload,
+    /// which to a UDP client looks like a lost reply.
     pub fn pull_response(
         &self,
         sim: &mut Sim,
         mq: &Mqueue,
-        collected: impl FnOnce(&mut Sim, ReturnAddr, Payload) + 'static,
+        collected: impl FnOnce(&mut Sim, u64, ReturnAddr, Option<Payload>) + 'static,
     ) {
         let Some((seq, ret, len)) = mq.begin_pull() else {
             return;
@@ -758,7 +762,7 @@ impl RemoteMqManager {
                         seq,
                         bytes: bytes_out,
                     });
-                    collected(sim, ret, payload);
+                    collected(sim, seq, ret, Some(payload));
                 });
             return;
         }
@@ -775,23 +779,22 @@ impl RemoteMqManager {
             label,
             post,
             Box::new(move |sim, result| {
-                let deliver: Box<dyn FnOnce(&mut Sim)> = match result {
-                    Ok(bytes) => {
-                        let mq_evt = mq2.clone();
-                        Box::new(move |sim: &mut Sim| {
-                            let payload = bytes.slice_from(SLOT_HEADER);
-                            let bytes_out = payload.len();
-                            sim.trace(|| TraceEvent::Forward {
-                                queue: mq_evt.label(),
-                                seq,
-                                bytes: bytes_out,
-                            });
-                            collected(sim, ret, payload);
-                        })
-                    }
-                    // Discard: rmq.giveups was counted by the retry driver.
-                    Err(_) => Box::new(|_| {}),
-                };
+                let mq_evt = mq2.clone();
+                let deliver = Box::new(move |sim: &mut Sim| {
+                    // A give-up (rmq.giveups counted by the retry driver)
+                    // delivers no payload.
+                    let payload = result.ok().map(|bytes| {
+                        let payload = bytes.slice_from(SLOT_HEADER);
+                        let bytes_out = payload.len();
+                        sim.trace(|| TraceEvent::Forward {
+                            queue: mq_evt.label(),
+                            seq,
+                            bytes: bytes_out,
+                        });
+                        payload
+                    });
+                    collected(sim, seq, ret, payload);
+                });
                 complete_in_order(sim, mq2.clone(), seq, deliver);
             }),
         );
@@ -808,6 +811,10 @@ mod tests {
     use std::rc::Rc;
 
     fn rig(cfg: MqueueConfig) -> (Sim, RemoteMqManager, Mqueue) {
+        rig_with(cfg, RmqConfig::default())
+    }
+
+    fn rig_with(cfg: MqueueConfig, rmq_cfg: RmqConfig) -> (Sim, RemoteMqManager, Mqueue) {
         let sim = Sim::new(0);
         let fabric = PcieFabric::new();
         let host = fabric.add_node("host");
@@ -818,7 +825,11 @@ mod tests {
         let gpu_mem = MemRegion::new(gpu, 1 << 20, "gpu");
         let mq = Mqueue::new(MqueueKind::Server, gpu_mem, 0, cfg);
         let rnic = RdmaNic::new(fabric, nic, "snic-asic");
-        (sim, RemoteMqManager::new(rnic.loopback_qp()), mq)
+        (
+            sim,
+            RemoteMqManager::with_config(rnic.loopback_qp(), rmq_cfg),
+            mq,
+        )
     }
 
     #[test]
@@ -906,9 +917,9 @@ mod tests {
         mq.acc_push_response(&mut sim, seq, b"pong");
         let got = Rc::new(Cell::new(false));
         let g = Rc::clone(&got);
-        rmq.pull_response(&mut sim, &mq, move |_, ret, payload| {
-            assert_eq!(ret, client);
-            assert_eq!(payload, b"pong");
+        rmq.pull_response(&mut sim, &mq, move |_, s, ret, payload| {
+            assert_eq!((s, ret), (seq, client));
+            assert_eq!(payload.unwrap(), b"pong");
             g.set(true);
         });
         sim.run();
@@ -919,8 +930,39 @@ mod tests {
     #[test]
     fn pull_with_no_pending_response_is_noop() {
         let (mut sim, rmq, mq) = rig(MqueueConfig::default());
-        rmq.pull_response(&mut sim, &mq, |_, _, _| panic!("nothing to collect"));
+        rmq.pull_response(&mut sim, &mq, |_, _, _, _| panic!("nothing to collect"));
         sim.run();
+    }
+
+    #[test]
+    fn pull_giveup_reports_the_lost_seq() {
+        let no_retry = RmqConfig {
+            max_retries: 0,
+            ..RmqConfig::default()
+        };
+        let (mut sim, rmq, mq) = rig_with(MqueueConfig::default(), no_retry);
+        rmq.push_request(&mut sim, &mq, ReturnAddr::Fixed, b"ping", |_, _| {})
+            .unwrap();
+        sim.run();
+        let (seq, _) = mq.acc_pop_request().unwrap();
+        mq.acc_push_response(&mut sim, seq, b"pong");
+        sim.enable_faults(FaultPlan::new(4).rule(
+            "rdma.read.gpu",
+            Trigger::Nth(1),
+            FaultAction::CqeError,
+        ));
+        let got = Rc::new(RefCell::new(None));
+        let g = Rc::clone(&got);
+        rmq.pull_response(&mut sim, &mq, move |_, s, _, payload| {
+            *g.borrow_mut() = Some((s, payload));
+        });
+        sim.run();
+        assert_eq!(
+            got.borrow_mut().take(),
+            Some((seq, None)),
+            "the lost seq is reported without a payload"
+        );
+        assert_eq!(mq.in_flight(), 0, "the slot is still released");
     }
 
     #[test]
@@ -1002,8 +1044,8 @@ mod tests {
         ));
         let got = Rc::new(Cell::new(false));
         let g = Rc::clone(&got);
-        rmq.pull_response(&mut sim, &mq, move |_, _, payload| {
-            assert_eq!(payload, b"pong");
+        rmq.pull_response(&mut sim, &mq, move |_, _, _, payload| {
+            assert_eq!(payload.unwrap(), b"pong");
             g.set(true);
         });
         sim.run();
@@ -1070,7 +1112,7 @@ mod tests {
             mq.acc_push_response(&mut sim, seq, b"r");
         }
         for _ in 0..3 {
-            rmq.pull_response(&mut sim, &mq, |_, _, _| {});
+            rmq.pull_response(&mut sim, &mq, |_, _, _, _| {});
             sim.run();
         }
         let before = sim.telemetry().unwrap().counter("fabric.rdma.doorbells");
@@ -1130,9 +1172,9 @@ mod tests {
         assert_eq!(after - before, 1, "one chained read for the whole batch");
         let got = got.borrow();
         assert_eq!(got.len(), 3);
-        for (i, (ret, payload)) in got.iter().enumerate() {
-            assert_eq!(*ret, clients[i]);
-            assert_eq!(payload, format!("pong{i}").as_bytes());
+        for (i, (seq, ret, payload)) in got.iter().enumerate() {
+            assert_eq!((*seq, *ret), (i as u64, clients[i]));
+            assert_eq!(payload.as_ref().unwrap(), format!("pong{i}").as_bytes());
         }
         assert_eq!(mq.in_flight(), 0);
     }
@@ -1208,8 +1250,8 @@ mod tests {
         sim.run();
         let got = got.borrow();
         assert_eq!(got.len(), 3, "struck span recovered via retry");
-        for (i, (_, payload)) in got.iter().enumerate() {
-            assert_eq!(payload, &[i as u8]);
+        for (i, (_, _, payload)) in got.iter().enumerate() {
+            assert_eq!(payload.as_ref().unwrap(), &[i as u8]);
         }
         assert_eq!(sim.telemetry().unwrap().counter("rmq.retries"), 1);
         assert_eq!(mq.in_flight(), 0);

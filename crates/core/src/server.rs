@@ -2,7 +2,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
@@ -15,7 +15,7 @@ use lynx_sim::{Histogram, Payload, Sim, SiteCounter, SiteGauge, Telemetry, Time,
 use crate::cache::{CacheConfig, CacheOp, CacheProtocol, SnicCache, SnicKernel};
 use crate::control::{ControlConfig, ScaleDecision, SvcControl};
 use crate::pipeline::{Pipeline, PipelineConfig, StagedRequest};
-use crate::tenancy::{FnId, Tenancy, TenancyStats, TenantCacheMode};
+use crate::tenancy::{Admission, FnId, Tenancy, TenancyStats, TenantCacheMode};
 use crate::{DispatchPolicy, Dispatcher, Error, Mqueue, RemoteMqManager, ReturnAddr};
 
 /// Where the Lynx server logic runs — selects core counts and cost models
@@ -233,14 +233,6 @@ struct ServerSites {
     cache_bytes: SiteGauge,
     snic_offloaded: SiteCounter,
     snic_cycles: SiteCounter,
-    tenancy_matched: SiteCounter,
-    tenancy_unmatched: SiteCounter,
-    tenancy_shed: SiteCounter,
-    tenancy_cold: SiteCounter,
-    tenancy_evictions: SiteCounter,
-    tenancy_deferred: SiteCounter,
-    tenancy_resident_fns: SiteGauge,
-    tenancy_resident_bytes: SiteGauge,
 }
 
 /// Per-service counter handles (`server.svc<i>.*` and the dispatcher's
@@ -271,12 +263,6 @@ impl ServiceId {
 struct QueueHealth {
     last_responses: u64,
     last_progress: Time,
-    /// The per-queue request↔response FIFO has lost an entry (a request
-    /// was quarantined or a response gave up post-acceptance), so path
-    /// and latency matching is suspended until the queue fully drains —
-    /// a misaligned pop would pair a response with the wrong request and
-    /// fill the cache under the wrong key.
-    path_lost: bool,
 }
 
 /// Where a cacheable GET miss's response should land: the lane cache, the
@@ -289,11 +275,14 @@ struct FillSlot {
     token: u64,
 }
 
-/// One accelerator-path request in flight: when it was dispatched and,
-/// for cacheable GET misses, where its response should be cached.
-struct PathEntry {
+/// One accelerator-path request in flight, filed under its ring sequence
+/// number: when it was dispatched, where a cacheable GET miss's response
+/// should be cached, and the tenant function whose in-flight slot it
+/// holds.
+struct InFlight {
     at: Time,
     fill: Option<FillSlot>,
+    func: Option<FnId>,
 }
 
 /// What the dispatch-stage cache consult decided for one request.
@@ -305,6 +294,25 @@ enum CacheOutcome {
     Miss(Option<FillSlot>),
 }
 
+/// Where the dispatch stage sends one admitted request (see
+/// [`LynxServer::route`]).
+enum Route {
+    /// Answered from the lane's SNIC cache.
+    Hit(Payload),
+    /// Answered by the SNIC compute kernel after this much lane work.
+    Offload(Payload, Duration),
+    /// Push into queue `qi`; the fill lease rides on to the in-flight
+    /// entry.
+    Queue {
+        qi: usize,
+        rmq: Rc<RemoteMqManager>,
+        mq: Mqueue,
+        fill: Option<FillSlot>,
+    },
+    /// Every eligible queue is full: dropped.
+    Drop,
+}
+
 struct Service {
     dispatcher: Dispatcher,
     mqs: Vec<Mqueue>,
@@ -313,18 +321,13 @@ struct Service {
     udp_port: Option<u16>,
     sites: SvcSites,
     control: SvcControl,
-    /// Per-queue FIFO matching accelerator-path requests to their
-    /// responses (mqueues complete in order), maintained only when the
-    /// cache or path-latency tracking is on.
-    path: Vec<VecDeque<PathEntry>>,
+    /// Per-queue in-flight table keyed by ring sequence number, filled
+    /// only while [`Inner::track_inflight`] holds: a response frees
+    /// exactly its own request's entry, whatever else was lost.
+    inflight: Vec<BTreeMap<u64, InFlight>>,
     /// Dispatch→collect latency of accelerator-path (miss) requests,
     /// recorded when [`CacheConfig::track_path_latency`] is set.
     miss_path: Histogram,
-    /// Per-queue FIFO of the tenant function behind each accelerator-path
-    /// request (mqueues complete in order), maintained only when the
-    /// tenancy stage is on: collection releases the function's in-flight
-    /// slot, which is what gates deferred residency eviction.
-    tfifo: Vec<VecDeque<u32>>,
 }
 
 impl Service {
@@ -337,9 +340,8 @@ impl Service {
             udp_port: None,
             sites: SvcSites::default(),
             control: SvcControl::new(admission_burst),
-            path: Vec::new(),
+            inflight: Vec::new(),
             miss_path: Histogram::new(),
-            tfifo: Vec::new(),
         }
     }
 }
@@ -347,14 +349,25 @@ impl Service {
 /// Cache keys are namespaced by tenant service — and, when the tenancy
 /// stage matched a registered function, by that function — so two tenants
 /// using the same application keys never collide in a shared lane cache.
-fn cache_key(service: ServiceId, func: Option<FnId>, key: &[u8]) -> Vec<u8> {
+/// `None` when the function bypasses the cache.
+fn cache_key(
+    tenancy: Option<&Tenancy>,
+    service: ServiceId,
+    func: Option<FnId>,
+    key: &[u8],
+) -> Option<Vec<u8>> {
+    if let (Some(t), Some(f)) = (tenancy, func) {
+        if t.registry().spec(f).cache == TenantCacheMode::Bypass {
+            return None;
+        }
+    }
     let mut k = Vec::with_capacity(8 + key.len());
     k.extend_from_slice(&(service.0 as u32).to_le_bytes());
     if let Some(f) = func {
         k.extend_from_slice(&f.0.to_le_bytes());
     }
     k.extend_from_slice(key);
-    k
+    Some(k)
 }
 
 struct Inner {
@@ -388,117 +401,23 @@ struct Inner {
     /// function registry, per-tenant admission and LRU residency. `None`
     /// (or a disabled config) leaves the request path exactly as before.
     tenancy: Option<Tenancy>,
-    /// Last tenancy-stats snapshot mirrored into the telemetry counters —
-    /// the delta source for `tenancy.*`.
-    tenancy_seen: TenancyStats,
 }
 
 impl Inner {
-    /// Whether per-request path entries must be recorded (the cache
-    /// needs them for fills, the latency histogram for the miss tail).
-    fn track_path(&self) -> bool {
-        self.cache_cfg.enabled || self.cache_cfg.track_path_latency
+    /// Whether accepted requests record in-flight entries: the control
+    /// plane and the miss-path histogram read their dispatch time, the
+    /// cache their fill lease, the tenancy stage their function's slot.
+    fn track_inflight(&self) -> bool {
+        self.control.enabled
+            || self.cache_cfg.enabled
+            || self.cache_cfg.track_path_latency
+            || self.tenancy_on()
     }
 
     /// Whether the tenancy match-action stage gates requests.
     fn tenancy_on(&self) -> bool {
         self.tenancy.as_ref().is_some_and(Tenancy::enabled)
     }
-
-    /// Re-matches a payload to its tenant function (requests past the
-    /// gate always match; O(1) on the registry's key table).
-    fn tenancy_func(&self, payload: &[u8]) -> Option<FnId> {
-        self.tenancy
-            .as_ref()
-            .filter(|t| t.enabled())
-            .and_then(|t| t.match_request(payload))
-    }
-
-    /// Releases one in-flight tenancy slot for the function behind
-    /// `payload` (request answered at the SNIC, dropped or rejected).
-    fn tenancy_complete_payload(&mut self, payload: &[u8]) {
-        let Some(func) = self.tenancy_func(payload) else {
-            return;
-        };
-        if let Some(t) = self.tenancy.as_mut() {
-            t.complete(func);
-        }
-        self.sync_tenancy();
-    }
-
-    /// Mirrors the tenancy runtime's cumulative stats into the interned
-    /// `tenancy.*` telemetry sites. Delta-based against the last snapshot,
-    /// so it can run at every gate/complete site and counters stay
-    /// monotonic and exact.
-    fn sync_tenancy(&mut self) {
-        let Some(cur) = self.tenancy.as_ref().map(Tenancy::stats) else {
-            return;
-        };
-        let prev = self.tenancy_seen;
-        if cur == prev {
-            return;
-        }
-        let sites = &self.sites;
-        let stats = &self.stats;
-        if cur.matched > prev.matched {
-            sites
-                .tenancy_matched
-                .add(stats, "tenancy.matched", cur.matched - prev.matched);
-        }
-        if cur.unmatched > prev.unmatched {
-            sites
-                .tenancy_unmatched
-                .add(stats, "tenancy.unmatched", cur.unmatched - prev.unmatched);
-        }
-        if cur.shed > prev.shed {
-            sites
-                .tenancy_shed
-                .add(stats, "tenancy.shed", cur.shed - prev.shed);
-        }
-        if cur.cold_starts > prev.cold_starts {
-            sites.tenancy_cold.add(
-                stats,
-                "tenancy.cold_starts",
-                cur.cold_starts - prev.cold_starts,
-            );
-        }
-        if cur.evictions > prev.evictions {
-            sites
-                .tenancy_evictions
-                .add(stats, "tenancy.evictions", cur.evictions - prev.evictions);
-        }
-        if cur.evictions_deferred > prev.evictions_deferred {
-            sites.tenancy_deferred.add(
-                stats,
-                "tenancy.evictions_deferred",
-                cur.evictions_deferred - prev.evictions_deferred,
-            );
-        }
-        sites.tenancy_resident_fns.set_with(
-            stats,
-            || "tenancy.resident_fns".to_string(),
-            cur.resident_fns as f64,
-        );
-        sites.tenancy_resident_bytes.set_with(
-            stats,
-            || "tenancy.resident_bytes".to_string(),
-            cur.resident_bytes as f64,
-        );
-        self.tenancy_seen = cur;
-    }
-}
-
-/// Outcome of the tenancy match-action gate for one request.
-enum TenancyGate {
-    /// No stage installed, or matched a warm admitted function: dispatch
-    /// proceeds immediately.
-    Pass,
-    /// Matched a cold (or still-warming) function: dispatch proceeds
-    /// after this warm-up delay elapses on the simulated clock.
-    Warm(Duration),
-    /// Unmatched, or over the tenant's quota: answer with the empty
-    /// shed marker and stop.
-    Shed,
 }
 
 /// The Lynx network server: the application-agnostic frontend on the
@@ -514,15 +433,25 @@ enum TenancyGate {
 /// path since 0.3.0 (the deprecated imperative `new` / `add_*` /
 /// `listen_*` shims of 0.2 have been removed; see `CHANGELOG.md`).
 ///
-/// # Batched multi-core pipeline
+/// # Request path
 ///
-/// The dispatcher/forwarder runs as a sharded pipeline configured by
-/// [`PipelineConfig`] ([`crate::LynxServerBuilder::snic_cores`] /
-/// [`crate::LynxServerBuilder::batch`]): requests shard across `N`
-/// simulated SNIC cores by client key and each core drains its partition
-/// in batches, amortizing stack invocations, RDMA doorbells and mqueue
-/// completions. With the default configuration (1 core, unbatched) the
-/// server takes the exact legacy immediate-dispatch path.
+/// Every admitted request takes one route decision — cache consult, SNIC
+/// compute offload, then queue pick — and every push settles through one
+/// handler. The unbatched and batched paths differ only in where cost is
+/// charged: unbatched ([`crate::BatchPolicy::Unbatched`], the default)
+/// charges each request on the shared join-shortest lane pool and pushes
+/// it alone; the batched pipeline ([`PipelineConfig`],
+/// [`crate::LynxServerBuilder::snic_cores`] /
+/// [`crate::LynxServerBuilder::batch`]) shards requests across `N`
+/// simulated SNIC cores by client key, pins each drain to its core's
+/// lane and coalesces its pushes per mqueue, amortizing stack
+/// invocations, RDMA doorbells and mqueue completions.
+///
+/// Responses find their requests by identity, not position: each accepted
+/// request files an in-flight entry (dispatch time, cache fill lease,
+/// tenant function) under its mqueue ring sequence number, and the
+/// forwarder frees the entry its response — or the give-up reported in
+/// its place — names.
 #[derive(Clone)]
 pub struct LynxServer {
     inner: Rc<RefCell<Inner>>,
@@ -556,8 +485,11 @@ impl LynxServer {
         cache_cfg: CacheConfig,
         protocol: Option<Rc<dyn CacheProtocol>>,
         snic_kernel: Option<(Rc<dyn SnicKernel>, f64)>,
-        tenancy: Option<Tenancy>,
+        mut tenancy: Option<Tenancy>,
     ) -> LynxServer {
+        if let Some(t) = tenancy.as_mut() {
+            t.bind_stats(&stats);
+        }
         let core_dispatched = (0..pipeline.snic_cores)
             .map(|_| SiteCounter::new())
             .collect();
@@ -589,7 +521,6 @@ impl LynxServer {
                 caches,
                 snic_kernel,
                 tenancy,
-                tenancy_seen: TenancyStats::default(),
             })),
         }
     }
@@ -630,11 +561,8 @@ impl LynxServer {
             svc.health.push(QueueHealth {
                 last_responses: 0,
                 last_progress: Time::ZERO,
-                path_lost: false,
             });
-            svc.control.pending.push(VecDeque::new());
-            svc.path.push(VecDeque::new());
-            svc.tfifo.push(VecDeque::new());
+            svc.inflight.push(BTreeMap::new());
             (rmq, fwd_core, svc.mqs.len() - 1)
         };
         let this = self.clone();
@@ -829,8 +757,7 @@ impl LynxServer {
     }
 
     /// Counters of the tenancy match-action stage (zeroed when no stage
-    /// is installed). The same values are mirrored into the `tenancy.*`
-    /// telemetry counters.
+    /// is installed), read from the `tenancy.*` telemetry counters.
     pub fn tenancy_stats(&self) -> TenancyStats {
         self.inner
             .borrow()
@@ -917,6 +844,7 @@ impl LynxServer {
         inner: &mut Inner,
         service: ServiceId,
         lane: usize,
+        func: Option<FnId>,
         payload: &[u8],
     ) -> CacheOutcome {
         if !inner.cache_cfg.enabled {
@@ -925,112 +853,67 @@ impl LynxServer {
         let Some(protocol) = inner.protocol.clone() else {
             return CacheOutcome::Miss(None);
         };
-        // Tenancy composition: a matched function either partitions the
-        // cache under its own key namespace or bypasses it entirely.
-        let func = inner.tenancy_func(payload);
-        if let Some(f) = func {
-            let bypass = inner
-                .tenancy
-                .as_ref()
-                .is_some_and(|t| t.registry().spec(f).cache == TenantCacheMode::Bypass);
-            if bypass {
-                return CacheOutcome::Miss(None);
+        let op = protocol.classify(payload);
+        let (CacheOp::Get(key) | CacheOp::Set(key)) = &op else {
+            return CacheOutcome::Miss(None);
+        };
+        let Some(ckey) = cache_key(inner.tenancy.as_ref(), service, func, key) else {
+            return CacheOutcome::Miss(None);
+        };
+        if matches!(op, CacheOp::Set(_)) {
+            // Write-through: the SET still goes to the accelerator;
+            // every lane's cached copy goes stale immediately, so no
+            // fresh read can observe the overwritten value.
+            let mut n = 0u64;
+            for c in inner.caches.iter_mut() {
+                if c.invalidate(&ckey) {
+                    n += 1;
+                }
             }
+            if n > 0 {
+                inner
+                    .sites
+                    .cache_invalidations
+                    .add(&inner.stats, "cache.invalidations", n);
+            }
+            return CacheOutcome::Miss(None);
         }
-        match protocol.classify(payload) {
-            CacheOp::Get(key) => {
-                let ckey = cache_key(service, func, &key);
-                let resp = inner.caches[lane].lookup(&ckey, false).map(<[u8]>::to_vec);
-                match resp {
-                    Some(r) => {
-                        inner.sites.cache_hits.add(&inner.stats, "cache.hits", 1);
-                        CacheOutcome::Hit(Payload::from(r))
-                    }
-                    None => {
-                        inner
-                            .sites
-                            .cache_misses
-                            .add(&inner.stats, "cache.misses", 1);
-                        // Lease the slot now: a SET racing the round trip
-                        // voids the lease, so the response cannot install
-                        // the overwritten value (memcached-style lease).
-                        // While another miss for the key is in flight no
-                        // lease is granted — this response is served but
-                        // not cached.
-                        let fill = inner.caches[lane].begin_fill(&ckey).map(|token| FillSlot {
-                            lane,
-                            key: ckey,
-                            token,
-                        });
-                        CacheOutcome::Miss(fill)
-                    }
-                }
+        let resp = inner.caches[lane].lookup(&ckey, false).map(<[u8]>::to_vec);
+        match resp {
+            Some(r) => {
+                inner.sites.cache_hits.add(&inner.stats, "cache.hits", 1);
+                CacheOutcome::Hit(Payload::from(r))
             }
-            CacheOp::Set(key) => {
-                // Write-through: the SET still goes to the accelerator;
-                // every lane's cached copy goes stale immediately, so no
-                // fresh read can observe the overwritten value.
-                let ckey = cache_key(service, func, &key);
-                let mut n = 0u64;
-                for c in inner.caches.iter_mut() {
-                    if c.invalidate(&ckey) {
-                        n += 1;
-                    }
-                }
-                if n > 0 {
-                    inner
-                        .sites
-                        .cache_invalidations
-                        .add(&inner.stats, "cache.invalidations", n);
-                }
-                CacheOutcome::Miss(None)
+            None => {
+                inner
+                    .sites
+                    .cache_misses
+                    .add(&inner.stats, "cache.misses", 1);
+                // Lease the slot now: a SET racing the round trip voids
+                // the lease, so the response cannot install the
+                // overwritten value (memcached-style lease). While
+                // another miss for the key is in flight no lease is
+                // granted — this response is served but not cached.
+                let fill = inner.caches[lane].begin_fill(&ckey).map(|token| FillSlot {
+                    lane,
+                    key: ckey,
+                    token,
+                });
+                CacheOutcome::Miss(fill)
             }
-            CacheOp::Other => CacheOutcome::Miss(None),
         }
     }
 
-    /// Releases a leased fill slot whose response will never arrive
-    /// (request dropped, offloaded, rejected by the transport, or its
-    /// path entry discarded). A no-op for non-cacheable requests.
-    fn release_fill(inner: &mut Inner, fill: Option<FillSlot>) {
+    /// Releases what a request holds that no response will free: its
+    /// leased fill slot and its tenant's in-flight slot (request answered
+    /// at the SNIC, dropped, rejected by the transport, or its in-flight
+    /// entry discarded).
+    fn release(inner: &mut Inner, fill: Option<FillSlot>, func: Option<FnId>) {
         if let Some(f) = fill {
             inner.caches[f.lane].abandon_fill(&f.key, f.token);
         }
-    }
-
-    /// Discards all request↔response matching state for queue `qi` of
-    /// service `i` and taints the queue: entries already recorded can no
-    /// longer be trusted to line up with the responses still in flight,
-    /// so matching stays suspended (no new entries recorded, collected
-    /// responses unmatched) until the queue fully drains — the only
-    /// point where the FIFO pairing is known-good again.
-    fn reset_queue_path(inner: &mut Inner, i: usize, qi: usize) {
-        let svc = &mut inner.services[i];
-        let was_tainted = svc.health[qi].path_lost;
-        let fills: Vec<Option<FillSlot>> = svc.path[qi].drain(..).map(|e| e.fill).collect();
-        svc.control.pending[qi].clear();
-        // Orphaned tenant dispatches can no longer be paired with their
-        // completions: release their in-flight slots now so residency
-        // eviction is not wedged by a desynced queue.
-        let funcs: Vec<u32> = svc
-            .tfifo
-            .get_mut(qi)
-            .map(|q| q.drain(..).collect())
-            .unwrap_or_default();
-        svc.health[qi].path_lost = true;
-        for fill in fills {
-            Self::release_fill(inner, fill);
-        }
-        if !funcs.is_empty() {
-            if let Some(t) = inner.tenancy.as_mut() {
-                for f in funcs {
-                    t.complete(FnId(f));
-                }
-            }
-            inner.sync_tenancy();
-        }
-        if !was_tainted {
-            inner.stats.count("server.path_resets", 1);
+        if let (Some(f), Some(t)) = (func, inner.tenancy.as_mut()) {
+            t.complete(f);
         }
     }
 
@@ -1063,20 +946,15 @@ impl LynxServer {
             let CacheOp::Get(k) = protocol.classify(payload) else {
                 return false;
             };
-            // Tenancy composition mirrors the normal consult: a bypass
+            // The tenancy gate has not run yet, so this is the request's
+            // one match. Composition mirrors the normal consult: a bypass
             // function never gets stale answers; partitioned functions
             // look up under their own namespace.
-            let func = inner.tenancy_func(payload);
-            if let Some(f) = func {
-                let bypass = inner
-                    .tenancy
-                    .as_ref()
-                    .is_some_and(|t| t.registry().spec(f).cache == TenantCacheMode::Bypass);
-                if bypass {
-                    return false;
-                }
-            }
-            let ckey = cache_key(service, func, &k);
+            let tenancy = inner.tenancy.as_ref().filter(|t| t.enabled());
+            let func = tenancy.and_then(|t| t.match_request(payload));
+            let Some(ckey) = cache_key(tenancy, service, func, &k) else {
+                return false;
+            };
             let lane = inner.pipeline.config().shard_of(key);
             let resp = match inner.caches[lane].lookup(&ckey, true).map(<[u8]>::to_vec) {
                 Some(r) => {
@@ -1097,15 +975,11 @@ impl LynxServer {
             )
         };
         let this = self.clone();
-        let payload = Payload::from(resp);
+        let reply = move |sim: &mut Sim| this.send_reply(sim, service, ret, Payload::from(resp));
         if batched {
-            stack.charge_on(sim, lane, cost, move |sim| {
-                this.send_reply(sim, service, ret, payload);
-            });
+            stack.charge_on(sim, lane, cost, reply);
         } else {
-            stack.charge(sim, cost, move |sim| {
-                this.send_reply(sim, service, ret, payload);
-            });
+            stack.charge(sim, cost, reply);
         }
         true
     }
@@ -1191,40 +1065,36 @@ impl LynxServer {
         // λ-NIC match-action stage: match the payload to a registered
         // tenant function and enforce its quota and residency — after the
         // service-wide token bucket, before any dispatch cost.
-        match self.tenancy_gate(sim, service, &payload) {
-            TenancyGate::Pass => {}
-            TenancyGate::Shed => {
-                // Unmatched or over the tenant's quota: the empty reply is
-                // the same shed marker admission control uses.
-                self.send_reply(sim, service, ret, Payload::from(Vec::new()));
-                return;
-            }
-            TenancyGate::Warm(delay) => {
+        let Ok(admission) = self.tenancy_gate(sim, service, &payload) else {
+            // Unmatched or over the tenant's quota: the empty reply is the
+            // same shed marker admission control uses.
+            self.send_reply(sim, service, ret, Payload::from(Vec::new()));
+            return;
+        };
+        let req = StagedRequest {
+            service,
+            ret,
+            key,
+            func: admission.map(|a| a.func),
+            payload,
+        };
+        match admission {
+            Some(a) if !a.delay.is_zero() => {
                 // Cold start: the function's state loads on the
                 // accelerator for `delay`; dispatch proceeds once warm.
                 // Pure simulated wall time — no SNIC core is held.
                 let this = self.clone();
-                sim.schedule_in(delay, move |sim| {
-                    this.dispatch_admitted(sim, service, ret, key, payload);
-                });
-                return;
+                sim.schedule_in(a.delay, move |sim| this.dispatch_admitted(sim, req));
             }
+            _ => self.dispatch_admitted(sim, req),
         }
-        self.dispatch_admitted(sim, service, ret, key, payload);
     }
 
-    /// The post-admission half of the request path: stage into the
-    /// batched pipeline or charge the legacy immediate dispatch. Split
-    /// from [`Self::on_request`] so a cold start can delay exactly this
-    /// part.
-    fn dispatch_admitted(
-        &self,
-        sim: &mut Sim,
-        service: ServiceId,
-        ret: ReturnAddr,
-        key: u64,
-        payload: Payload,
-    ) {
+    /// The post-admission half of the request path: charge an unbatched
+    /// dispatch on the shared lane pool, or stage into the batched
+    /// pipeline. Split from [`Self::on_request`] so a cold start can delay
+    /// exactly this part.
+    fn dispatch_admitted(&self, sim: &mut Sim, req: StagedRequest) {
         let (batched, stack, cost) = {
             let inner = self.inner.borrow();
             (
@@ -1235,29 +1105,17 @@ impl LynxServer {
         };
         self.arm_monitor(sim);
         if !batched {
-            // Legacy immediate dispatch on the shared core pool — the
-            // exact pre-pipeline event sequence.
+            // Immediate dispatch on the shared join-shortest lane pool.
             let this = self.clone();
-            stack.charge(sim, cost, move |sim| {
-                this.dispatch_now(sim, service, ret, key, payload);
-            });
+            stack.charge(sim, cost, move |sim| this.dispatch_now(sim, req));
             return;
         }
         // Batched pipeline: shard to a core, stage, and kick that core's
         // drain cycle if none is pending.
         let (core, start) = {
             let inner = self.inner.borrow();
-            let core = inner.pipeline.config().shard_of(key);
-            let start = inner.pipeline.stage(
-                core,
-                StagedRequest {
-                    service,
-                    ret,
-                    key,
-                    payload,
-                },
-            );
-            (core, start)
+            let core = inner.pipeline.config().shard_of(req.key);
+            (core, inner.pipeline.stage(core, req))
         };
         if start {
             self.drain_cycle(sim, core);
@@ -1316,7 +1174,7 @@ impl LynxServer {
         });
     }
 
-    /// Dispatches a drained batch: per-message mqueue selection (same
+    /// Dispatches a drained batch: one [`Self::route`] per message (same
     /// counters and traces as the unbatched path), then one coalesced
     /// [`RemoteMqManager::push_requests`] per target mqueue — a batch of
     /// `k` requests to one queue costs one doorbell, not `k`.
@@ -1327,13 +1185,11 @@ impl LynxServer {
             rmq: Rc<RemoteMqManager>,
             mq: Mqueue,
             items: Vec<(ReturnAddr, Payload)>,
-            fills: Vec<Option<FillSlot>>,
-            // Tenant function behind each item, resolved before payload
-            // ownership moves to the transport.
-            funcs: Vec<Option<FnId>>,
+            // Fill lease and tenant function behind each item, for its
+            // in-flight entry once the push settles.
+            held: Vec<(Option<FillSlot>, Option<FnId>)>,
         }
         let mut groups: Vec<Group> = Vec::new();
-        let mut traces: Vec<(&'static str, Option<String>)> = Vec::new();
         // SNIC-local answers produced at the dispatch stage: cache hits
         // go back on the batched UDP reply path; offloaded kernels first
         // charge their accumulated work on this core's lane.
@@ -1345,71 +1201,36 @@ impl LynxServer {
             for req in batch {
                 // The staged batch all sharded here by key, so this
                 // core's private cache is the request's cache lane.
-                match Self::consult_cache(&mut inner, req.service, core, &req.payload) {
-                    CacheOutcome::Hit(resp) => {
-                        // Answered at the SNIC: release the tenant's
-                        // in-flight slot here, nothing will complete it.
-                        inner.tenancy_complete_payload(&req.payload);
-                        hits.push((req.service, req.ret, resp));
-                        continue;
+                match Self::route(sim, &mut inner, core, &req) {
+                    Route::Hit(resp) => hits.push((req.service, req.ret, resp)),
+                    Route::Offload(resp, work) => {
+                        offload_work += work;
+                        offloads.push((req.service, req.ret, resp));
                     }
-                    CacheOutcome::Miss(fill) => {
-                        if let Some((resp, work)) =
-                            Self::try_offload(&mut inner, req.service, &req.payload)
+                    Route::Drop => {}
+                    Route::Queue { qi, rmq, mq, fill } => {
+                        let item = (req.ret, req.payload);
+                        let held = (fill, req.func);
+                        match groups
+                            .iter_mut()
+                            .find(|g| g.service == req.service && g.qi == qi)
                         {
-                            // The kernel answers instead of the
-                            // accelerator: no response will fill.
-                            Self::release_fill(&mut inner, fill);
-                            inner.tenancy_complete_payload(&req.payload);
-                            offload_work += work;
-                            offloads.push((req.service, req.ret, resp));
-                            continue;
-                        }
-                        let func = inner.tenancy_func(&req.payload);
-                        let i = req.service.0;
-                        let svc = &mut inner.services[i];
-                        let policy = svc.dispatcher.policy().name();
-                        let picked = svc
-                            .dispatcher
-                            .pick(&svc.mqs, req.key)
-                            .map(|qi| (qi, Rc::clone(&svc.owners[qi]), svc.mqs[qi].clone()));
-                        Self::count_dispatch(&inner, i, policy, picked.is_some());
-                        match picked {
-                            Some((qi, rmq, mq)) => {
-                                let label = mq.label();
-                                traces.push((policy, Some(label.clone())));
-                                match groups.iter_mut().find(|g| g.mq.label() == label) {
-                                    Some(g) => {
-                                        g.items.push((req.ret, req.payload));
-                                        g.fills.push(fill);
-                                        g.funcs.push(func);
-                                    }
-                                    None => groups.push(Group {
-                                        service: req.service,
-                                        qi,
-                                        rmq,
-                                        mq,
-                                        items: vec![(req.ret, req.payload)],
-                                        fills: vec![fill],
-                                        funcs: vec![func],
-                                    }),
-                                }
+                            Some(g) => {
+                                g.items.push(item);
+                                g.held.push(held);
                             }
-                            None => {
-                                // Dropped (all queues full): no response
-                                // will ever fill the leased slot or
-                                // complete the tenant's dispatch.
-                                Self::release_fill(&mut inner, fill);
-                                inner.tenancy_complete_payload(&req.payload);
-                                traces.push((policy, None));
-                            }
+                            None => groups.push(Group {
+                                service: req.service,
+                                qi,
+                                rmq,
+                                mq,
+                                items: vec![item],
+                                held: vec![held],
+                            }),
                         }
                     }
                 }
             }
-        }
-        for (policy, queue) in traces {
-            sim.trace(|| TraceEvent::Dispatch { policy, queue });
         }
         if !hits.is_empty() {
             // One batched stack invocation per service, like the
@@ -1439,26 +1260,71 @@ impl LynxServer {
             // counted (drops on the mqueue sink, giveups by the retry
             // machinery); a failed item never aborts the batch.
             let results = g.rmq.push_requests(sim, &g.mq, g.items);
-            let now = sim.now();
-            let mut accepted = 0;
-            for ((result, fill), func) in results.iter().zip(g.fills).zip(g.funcs) {
-                if result.is_ok() {
-                    accepted += 1;
-                    self.note_path(now, g.service, g.qi, fill);
-                    self.note_tenancy(g.service, g.qi, func);
-                } else {
-                    // Rejected by backpressure/transport: the leased slot
-                    // will never see a response, and no completion will
-                    // release the tenant's in-flight slot.
-                    let mut inner = self.inner.borrow_mut();
-                    Self::release_fill(&mut inner, fill);
-                    if let (Some(f), Some(t)) = (func, inner.tenancy.as_mut()) {
-                        t.complete(f);
-                    }
-                    inner.sync_tenancy();
-                }
+            let at = sim.now();
+            let mut inner = self.inner.borrow_mut();
+            for (result, (fill, func)) in results.into_iter().zip(g.held) {
+                let entry = InFlight { at, fill, func };
+                Self::accepted(&mut inner, g.service, g.qi, result, entry);
             }
-            self.note_dispatched(now, g.service, g.qi, accepted);
+        }
+    }
+
+    /// The dispatch stage's one decision for an admitted request on lane
+    /// `lane`: cache consult, then SNIC compute offload, then queue pick
+    /// (counted and traced). An outcome that ends the request here (hit,
+    /// offload, drop) releases its fill lease and tenant slot; a
+    /// [`Route::Queue`] hands both on to [`Self::accepted`]. Cost is the
+    /// caller's business — the unbatched and batched paths charge it
+    /// differently.
+    fn route(sim: &Sim, inner: &mut Inner, lane: usize, req: &StagedRequest) -> Route {
+        let fill = match Self::consult_cache(inner, req.service, lane, req.func, &req.payload) {
+            CacheOutcome::Hit(resp) => {
+                Self::release(inner, None, req.func);
+                return Route::Hit(resp);
+            }
+            CacheOutcome::Miss(fill) => fill,
+        };
+        if let Some((resp, work)) = Self::try_offload(inner, req.service, &req.payload) {
+            Self::release(inner, fill, req.func);
+            return Route::Offload(resp, work);
+        }
+        let svc = &mut inner.services[req.service.0];
+        let policy = svc.dispatcher.policy().name();
+        let picked = svc
+            .dispatcher
+            .pick(&svc.mqs, req.key)
+            .map(|qi| (qi, Rc::clone(&svc.owners[qi]), svc.mqs[qi].clone()));
+        Self::count_dispatch(inner, req.service.0, policy, picked.is_some());
+        sim.trace(|| TraceEvent::Dispatch {
+            policy,
+            queue: picked.as_ref().map(|(_, _, mq)| mq.label()),
+        });
+        match picked {
+            Some((qi, rmq, mq)) => Route::Queue { qi, rmq, mq, fill },
+            None => {
+                Self::release(inner, fill, req.func);
+                Route::Drop
+            }
+        }
+    }
+
+    /// Settles one push into queue `qi`. An accepted request files its
+    /// in-flight entry under its ring seq, when anything will read it
+    /// back; a rejected one (backpressure, transport) releases its fill
+    /// lease and tenant slot, since no response ever will. (Untracked
+    /// entries hold neither, so releasing them is a no-op.)
+    fn accepted(
+        inner: &mut Inner,
+        service: ServiceId,
+        qi: usize,
+        result: crate::Result<u64>,
+        entry: InFlight,
+    ) {
+        match result {
+            Ok(seq) if inner.track_inflight() => {
+                inner.services[service.0].inflight[qi].insert(seq, entry);
+            }
+            _ => Self::release(inner, entry.fill, entry.func),
         }
     }
 
@@ -1488,101 +1354,38 @@ impl LynxServer {
         }
     }
 
-    fn dispatch_now(
-        &self,
-        sim: &mut Sim,
-        service: ServiceId,
-        ret: ReturnAddr,
-        key: u64,
-        payload: Payload,
-    ) {
-        enum Fast {
-            CacheHit(Payload),
-            Offload(Payload, Duration),
-        }
-        let (fast, fill) = {
+    /// Dispatches one request immediately: its [`Self::route`], then a
+    /// single push. A hit replies straight from the SNIC (no mqueue slot,
+    /// no RDMA verb, no forward cycle); an offloaded kernel runs on the
+    /// shared lane pool first.
+    fn dispatch_now(&self, sim: &mut Sim, req: StagedRequest) {
+        let route = {
             let mut inner = self.inner.borrow_mut();
-            let lane = inner.pipeline.config().shard_of(key);
-            match Self::consult_cache(&mut inner, service, lane, &payload) {
-                CacheOutcome::Hit(resp) => (Some(Fast::CacheHit(resp)), None),
-                CacheOutcome::Miss(fill) => {
-                    match Self::try_offload(&mut inner, service, &payload) {
-                        Some((resp, work)) => {
-                            // The kernel answers instead of the
-                            // accelerator: no response will fill.
-                            Self::release_fill(&mut inner, fill);
-                            (Some(Fast::Offload(resp, work)), None)
-                        }
-                        None => (None, fill),
-                    }
-                }
-            }
+            let lane = inner.pipeline.config().shard_of(req.key);
+            Self::route(sim, &mut inner, lane, &req)
         };
-        match fast {
-            Some(Fast::CacheHit(resp)) => {
-                // A hit replies straight from the SNIC: no mqueue slot,
-                // no RDMA verb, no forward cycle. The tenant's in-flight
-                // slot is released here — no completion will arrive.
-                self.inner.borrow_mut().tenancy_complete_payload(&payload);
-                self.send_reply(sim, service, ret, resp);
-                return;
-            }
-            Some(Fast::Offload(resp, work)) => {
-                // The kernel runs on the shared core pool (the unbatched
-                // path charges there too), then replies directly.
-                self.inner.borrow_mut().tenancy_complete_payload(&payload);
+        let (service, ret) = (req.service, req.ret);
+        match route {
+            Route::Hit(resp) => self.send_reply(sim, service, ret, resp),
+            Route::Offload(resp, work) => {
                 let stack = self.inner.borrow().stack.clone();
                 let this = self.clone();
                 stack.charge(sim, work, move |sim| {
                     this.send_reply(sim, service, ret, resp);
                 });
-                return;
             }
-            None => {}
-        }
-        let (policy, picked) = {
-            let mut inner = self.inner.borrow_mut();
-            let svc = &mut inner.services[service.0];
-            let policy = svc.dispatcher.policy().name();
-            let picked = svc
-                .dispatcher
-                .pick(&svc.mqs, key)
-                .map(|i| (i, Rc::clone(&svc.owners[i]), svc.mqs[i].clone()));
-            Self::count_dispatch(&inner, service.0, policy, picked.is_some());
-            (policy, picked)
-        };
-        match picked {
-            Some((qi, rmq, mq)) => {
-                sim.trace(|| TraceEvent::Dispatch {
-                    policy,
-                    queue: Some(mq.label()),
-                });
+            Route::Drop => {}
+            Route::Queue { qi, rmq, mq, fill } => {
                 // The dispatcher checked for room, so backpressure here is
                 // impossible; a transport give-up (faults) is counted by
                 // the retry machinery and surfaces as a lost UDP request.
-                if rmq.push_request(sim, &mq, ret, &payload, |_, _| {}).is_ok() {
-                    self.note_dispatched(sim.now(), service, qi, 1);
-                    self.note_path(sim.now(), service, qi, fill);
-                    let func = self.inner.borrow().tenancy_func(&payload);
-                    self.note_tenancy(service, qi, func);
-                } else {
-                    let mut inner = self.inner.borrow_mut();
-                    Self::release_fill(&mut inner, fill);
-                    // Rejected by the transport: no completion will
-                    // release the tenant slot.
-                    inner.tenancy_complete_payload(&payload);
-                }
-            }
-            None => {
-                sim.trace(|| TraceEvent::Dispatch {
-                    policy,
-                    queue: None,
-                });
-                // Dropped (all queues full): no response will ever fill
-                // the leased slot or complete the tenant's dispatch.
-                let mut inner = self.inner.borrow_mut();
-                Self::release_fill(&mut inner, fill);
-                inner.tenancy_complete_payload(&payload);
+                let result = rmq.push_request(sim, &mq, ret, &req.payload, |_, _| {});
+                let entry = InFlight {
+                    at: sim.now(),
+                    fill,
+                    func: req.func,
+                };
+                Self::accepted(&mut self.inner.borrow_mut(), service, qi, result, entry);
             }
         }
     }
@@ -1625,17 +1428,16 @@ impl LynxServer {
             )
         };
         if !batched {
-            // Legacy per-response forwarding — the exact pre-pipeline
-            // event sequence.
+            // Per-response forwarding on the shared lane pool.
             let this = self.clone();
             sim.schedule_in(detect, move |sim| {
                 stack.charge(sim, cost, move |sim| {
                     let this2 = this.clone();
-                    rmq.pull_response(sim, &mq, move |sim, ret, payload| {
-                        let collected = [(ret, payload)];
-                        this2.on_collected(sim.now(), service, qi, &collected);
-                        let [(ret, payload)] = collected;
-                        this2.send_reply(sim, service, ret, payload);
+                    rmq.pull_response(sim, &mq, move |sim, seq, ret, payload| {
+                        this2.on_collected(sim.now(), service, qi, [(seq, payload.as_deref())]);
+                        if let Some(payload) = payload {
+                            this2.send_reply(sim, service, ret, payload);
+                        }
                     });
                 });
             });
@@ -1689,8 +1491,13 @@ impl LynxServer {
             let mq2 = mq.clone();
             let rmq2 = Rc::clone(&rmq);
             rmq.pull_responses(sim, &mq, k, move |sim, responses| {
-                this2.on_collected(sim.now(), service, qi, &responses);
-                this2.send_replies(sim, service, responses);
+                let collected = responses.iter().map(|(seq, _, p)| (*seq, p.as_deref()));
+                this2.on_collected(sim.now(), service, qi, collected);
+                let replies = responses
+                    .into_iter()
+                    .filter_map(|(_, ret, payload)| Some((ret, payload?)))
+                    .collect();
+                this2.send_replies(sim, service, replies);
                 gate.set(false);
                 if mq2.pending_responses() > 0 {
                     // More responses landed while this cycle ran: start
@@ -1821,7 +1628,10 @@ impl LynxServer {
         let this = self.clone();
         let stack2 = stack.clone();
         stack.charge(sim, cost, move |sim| {
-            rmq.pull_response(sim, &mq, move |sim, _ret, payload| {
+            rmq.pull_response(sim, &mq, move |sim, _seq, _ret, payload| {
+                let Some(payload) = payload else {
+                    return;
+                };
                 {
                     let inner = this.inner.borrow();
                     inner
@@ -1886,8 +1696,8 @@ impl LynxServer {
             let threshold = inner.recovery.stall_threshold;
             let stats = inner.stats.clone();
             let mut live_work = false;
-            let mut resets: Vec<(usize, usize)> = Vec::new();
-            for (i, svc) in inner.services.iter_mut().enumerate() {
+            let mut lost = Vec::new();
+            for svc in inner.services.iter_mut() {
                 for qi in 0..svc.mqs.len() {
                     let mq = &svc.mqs[qi];
                     let responses = mq.responses();
@@ -1897,10 +1707,6 @@ impl LynxServer {
                     if progressed || in_flight == 0 {
                         h.last_responses = responses;
                         h.last_progress = now;
-                    }
-                    if in_flight == 0 && h.path_lost {
-                        // Fully drained: FIFO pairing is back in sync.
-                        h.path_lost = false;
                     }
                     if svc.dispatcher.is_quarantined(qi) {
                         // Re-admit on any sign of life: new responses, or a
@@ -1920,18 +1726,18 @@ impl LynxServer {
                         svc.dispatcher.quarantine(qi);
                         stats.count("dispatch.quarantined", 1);
                         acts.push(Act::Quarantine(mq.label()));
-                        // A quarantined queue may have dropped requests on
-                        // the floor (crash) — its recorded entries can no
-                        // longer be trusted to line up with whatever it
-                        // sends after readmission.
-                        resets.push((i, qi));
+                        // A quarantined queue may have dropped its requests
+                        // on the floor (crash): free their entries, so a
+                        // late response is replied to without a fill or a
+                        // latency sample.
+                        lost.extend(std::mem::take(&mut svc.inflight[qi]).into_values());
                     } else if in_flight > 0 {
                         live_work = true;
                     }
                 }
             }
-            for (i, qi) in resets {
-                Self::reset_queue_path(&mut inner, i, qi);
+            for e in lost {
+                Self::release(&mut inner, e.fill, e.func);
             }
             if !live_work {
                 inner.monitor_armed = false;
@@ -1982,210 +1788,82 @@ impl LynxServer {
 
     /// Runs the λ-NIC match-action stage for one request: match the
     /// payload to a registered function, charge its quota and decide its
-    /// residency. Admitted requests hold one tenant in-flight slot until
-    /// a matching completion (see [`Self::note_tenancy`]).
-    fn tenancy_gate(&self, sim: &Sim, service: ServiceId, payload: &Payload) -> TenancyGate {
+    /// residency. Returns the admission (`None` when no stage is on); an
+    /// admitted request holds one tenant in-flight slot until its
+    /// in-flight entry, or whatever ends it earlier, releases it.
+    fn tenancy_gate(
+        &self,
+        sim: &Sim,
+        service: ServiceId,
+        payload: &Payload,
+    ) -> crate::Result<Option<Admission>> {
         let mut inner = self.inner.borrow_mut();
         if !inner.tenancy_on() {
-            return TenancyGate::Pass;
+            return Ok(None);
         }
         let now = sim.now();
-        let decision = inner
+        inner
             .tenancy
             .as_mut()
             .expect("tenancy_on() implies Some")
-            .decide(now, service.0, payload);
-        let gate = match decision {
-            Ok(a) if a.delay.is_zero() => TenancyGate::Pass,
-            Ok(a) => TenancyGate::Warm(a.delay),
-            Err(e) => {
-                debug_assert!(matches!(
-                    e,
-                    Error::Overloaded { .. } | Error::Unroutable { .. }
-                ));
-                TenancyGate::Shed
-            }
-        };
-        inner.sync_tenancy();
-        gate
+            .decide(now, service.0, payload)
+            .map(Some)
     }
 
-    /// Records the tenant function behind one request accepted into queue
-    /// `qi`, so the in-order mqueue completion can release its in-flight
-    /// slot. Mirrors [`Self::note_path`]'s suspension rule: while
-    /// matching is suspended after a desync reset, the slot is released
-    /// immediately instead of recorded (the response cannot be paired).
-    fn note_tenancy(&self, service: ServiceId, qi: usize, func: Option<FnId>) {
-        let Some(func) = func else {
-            return;
-        };
-        let mut inner = self.inner.borrow_mut();
-        if !inner.tenancy_on() {
-            return;
-        }
-        let recorded = {
-            let svc = &mut inner.services[service.0];
-            if svc.health[qi].path_lost {
-                false
-            } else if let Some(q) = svc.tfifo.get_mut(qi) {
-                q.push_back(func.0);
-                true
-            } else {
-                false
-            }
-        };
-        if !recorded {
-            if let Some(t) = inner.tenancy.as_mut() {
-                t.complete(func);
-            }
-            inner.sync_tenancy();
-        }
-    }
-
-    /// Records the dispatch timestamps of `k` requests accepted into
-    /// queue `qi` (control plane only — the deques stay empty otherwise).
-    fn note_dispatched(&self, now: Time, service: ServiceId, qi: usize, k: usize) {
-        if k == 0 {
-            return;
-        }
-        let mut inner = self.inner.borrow_mut();
-        if !inner.control.enabled {
-            return;
-        }
-        let svc = &mut inner.services[service.0];
-        if svc.health[qi].path_lost {
-            // Matching is suspended until the queue drains.
-            return;
-        }
-        if let Some(q) = svc.control.pending.get_mut(qi) {
-            for _ in 0..k {
-                q.push_back(now);
-            }
-        }
-    }
-
-    /// Records the path entry of one request accepted into queue `qi`:
-    /// the dispatch timestamp and, for a cacheable GET miss, the cache
-    /// slot its response should fill. No-op unless the cache or
-    /// path-latency tracking needs it.
-    fn note_path(&self, now: Time, service: ServiceId, qi: usize, fill: Option<FillSlot>) {
-        let mut inner = self.inner.borrow_mut();
-        if !inner.track_path() {
-            Self::release_fill(&mut inner, fill);
-            return;
-        }
-        if inner.services[service.0].health[qi].path_lost {
-            // Matching is suspended until the queue drains: recording an
-            // entry now would pair it with one of the orphaned responses
-            // still in flight.
-            Self::release_fill(&mut inner, fill);
-            return;
-        }
-        let svc = &mut inner.services[service.0];
-        if qi < svc.path.len() {
-            svc.path[qi].push_back(PathEntry { at: now, fill });
-        } else {
-            Self::release_fill(&mut inner, fill);
-        }
-    }
-
-    /// Matches collected responses of queue `qi` against their dispatch
-    /// records (FIFO per queue — mqueue responses complete in order):
-    /// records the dispatch→collection latency into the control plane's
-    /// sliding window and the miss-path histogram, and populates the
-    /// cache from responses whose request was a cacheable GET miss —
-    /// "responses arriving on the forward path populate the cache".
-    fn on_collected(
+    /// Frees the in-flight entries of queue `qi` that collected ring
+    /// seqs name. A delivered response records its dispatch→collection
+    /// latency into the control plane's sliding window and the miss-path
+    /// histogram and, for a cacheable GET miss, populates the cache —
+    /// "responses arriving on the forward path populate the cache". A
+    /// lost response (`None`) only releases what its request held. A seq
+    /// with no entry (its queue was quarantined meanwhile) is skipped.
+    fn on_collected<'a>(
         &self,
         now: Time,
         service: ServiceId,
         qi: usize,
-        responses: &[(ReturnAddr, Payload)],
+        responses: impl IntoIterator<Item = (u64, Option<&'a [u8]>)>,
     ) {
         let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
-        let control_on = inner.control.enabled;
-        let cache_on = inner.cache_cfg.enabled;
-        let track_hist = inner.cache_cfg.track_path_latency;
-        let track = cache_on || track_hist;
-        let tenancy_on = inner.tenancy_on();
-        if !control_on && !track && !tenancy_on {
+        if !inner.track_inflight() {
             return;
         }
-        // Integrity: every accepted request records one entry and every
-        // collected response pops one, and the transport completes this
-        // batch before handing it over — so the deques must hold exactly
-        // in_flight + responses.len() entries right now. More means a
-        // response was discarded post-acceptance (transport give-up):
-        // popping would pair later responses with earlier requests and
-        // fill the cache under the wrong key. Reset and re-sync once the
-        // queue drains.
-        let lost = {
-            let svc = &inner.services[service.0];
-            let expected = svc.mqs[qi].in_flight() + responses.len();
-            svc.path.get(qi).is_some_and(|q| q.len() > expected)
-                || svc
-                    .control
-                    .pending
-                    .get(qi)
-                    .is_some_and(|q| q.len() > expected)
-                || svc.tfifo.get(qi).is_some_and(|q| q.len() > expected)
-        };
-        if lost {
-            Self::reset_queue_path(inner, service.0, qi);
-        }
-        let svc = &mut inner.services[service.0];
-        let caches = &mut inner.caches;
-        let protocol = inner.protocol.as_deref();
+        let control_on = inner.control.enabled;
+        let track_hist = inner.cache_cfg.track_path_latency;
         let mut fills = 0u64;
-        // Tenant functions completed by this batch (per-queue FIFO, like
-        // the path entries) — released after the borrow on `svc` ends.
-        let mut done_funcs: Vec<u32> = Vec::new();
-        for (_, payload) in responses {
-            if control_on {
-                if let Some(t0) = svc.control.pending.get_mut(qi).and_then(|q| q.pop_front()) {
-                    svc.control.latency.record(now - t0);
+        for (seq, payload) in responses {
+            let svc = &mut inner.services[service.0];
+            let Some(e) = svc.inflight[qi].remove(&seq) else {
+                continue;
+            };
+            if payload.is_some() {
+                if control_on {
+                    svc.control.latency.record(now - e.at);
+                }
+                if track_hist {
+                    svc.miss_path.record(now - e.at);
                 }
             }
-            if tenancy_on {
-                if let Some(f) = svc.tfifo.get_mut(qi).and_then(|q| q.pop_front()) {
-                    done_funcs.push(f);
-                }
-            }
-            if track {
-                if let Some(entry) = svc.path.get_mut(qi).and_then(|q| q.pop_front()) {
-                    if track_hist {
-                        svc.miss_path.record(now - entry.at);
+            let fill = match (payload, e.fill) {
+                (Some(p), Some(f))
+                    if inner
+                        .protocol
+                        .as_ref()
+                        .is_some_and(|c| c.cacheable_response(p)) =>
+                {
+                    // Admitted only while the lease issued at miss time
+                    // is still current: a racing SET (or a newer miss for
+                    // the key) voided it.
+                    if inner.caches[f.lane].fill_leased(&f.key, p, f.token) {
+                        fills += 1;
                     }
-                    if cache_on {
-                        if let Some(f) = entry.fill {
-                            if protocol.is_some_and(|p| p.cacheable_response(payload)) {
-                                // Admitted only while the lease issued at
-                                // miss time is still current: a racing SET
-                                // (or a newer miss for the key) voided it.
-                                if caches[f.lane].fill_leased(&f.key, payload, f.token) {
-                                    fills += 1;
-                                }
-                            } else {
-                                caches[f.lane].abandon_fill(&f.key, f.token);
-                            }
-                        }
-                    }
+                    None
                 }
-            }
-        }
-        // A drained queue is trivially back in sync: lift the matching
-        // suspension imposed by an earlier reset.
-        if svc.health[qi].path_lost && svc.mqs[qi].in_flight() == 0 {
-            svc.health[qi].path_lost = false;
-        }
-        if !done_funcs.is_empty() {
-            if let Some(t) = inner.tenancy.as_mut() {
-                for f in done_funcs {
-                    t.complete(FnId(f));
-                }
-            }
-            inner.sync_tenancy();
+                // Uncacheable or lost: abandon the lease.
+                (_, fill) => fill,
+            };
+            Self::release(inner, fill, e.func);
         }
         if fills > 0 {
             inner
@@ -2193,7 +1871,7 @@ impl LynxServer {
                 .cache_fills
                 .add(&inner.stats, "cache.fills", fills);
         }
-        if cache_on {
+        if inner.cache_cfg.enabled {
             let bytes: usize = inner.caches.iter().map(SnicCache::bytes).sum();
             inner.sites.cache_bytes.set_with(
                 &inner.stats,

@@ -41,7 +41,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::time::Duration;
 
-use lynx_sim::Time;
+use lynx_sim::{SiteCounter, SiteGauge, Telemetry, Time};
 
 use crate::control::TokenBucket;
 use crate::validate::invalid;
@@ -375,8 +375,8 @@ impl Validate for TenancyConfig {
 }
 
 /// Counters of the tenancy stage, read through
-/// [`LynxServer::tenancy_stats`](crate::LynxServer::tenancy_stats) (the
-/// same values are mirrored into the `tenancy.*` telemetry counters).
+/// [`LynxServer::tenancy_stats`](crate::LynxServer::tenancy_stats) from
+/// the `tenancy.*` telemetry counters the stage increments.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TenancyStats {
     /// Requests matched to a registered function.
@@ -423,6 +423,19 @@ struct FnState {
     evict_pending: bool,
 }
 
+/// Interned handles for the stage's `tenancy.*` counters and gauges.
+#[derive(Debug, Default)]
+struct TenancySites {
+    matched: SiteCounter,
+    unmatched: SiteCounter,
+    shed: SiteCounter,
+    cold_starts: SiteCounter,
+    evictions: SiteCounter,
+    evictions_deferred: SiteCounter,
+    resident_fns: SiteGauge,
+    resident_bytes: SiteGauge,
+}
+
 /// Outcome of an admitted request at the tenancy stage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Admission {
@@ -450,7 +463,10 @@ pub struct Tenancy {
     /// deterministic, unlike iterating a hash map.
     lru: BTreeSet<(u64, u32)>,
     use_seq: u64,
-    stats: TenancyStats,
+    /// Registry the `tenancy.*` counters land in: a private one until
+    /// [`Tenancy::bind_stats`] binds the owning server's.
+    stats: Telemetry,
+    sites: TenancySites,
 }
 
 impl Tenancy {
@@ -487,8 +503,17 @@ impl Tenancy {
             resident_bytes: 0,
             lru: BTreeSet::new(),
             use_seq: 0,
-            stats: TenancyStats::default(),
+            stats: Telemetry::new(),
+            sites: TenancySites::default(),
         })
+    }
+
+    /// Binds the stage's counters to `sink` (the owning server's
+    /// telemetry registry), so `tenancy.*` and the server's own counters
+    /// share one source of truth. Called once, before any request.
+    pub(crate) fn bind_stats(&mut self, sink: &Telemetry) {
+        self.stats = sink.clone();
+        self.sites = TenancySites::default();
     }
 
     /// Whether the match-action stage is on.
@@ -525,12 +550,35 @@ impl Tenancy {
         self.funcs[func.0 as usize].in_flight
     }
 
-    /// Snapshot of the stage counters (residency gauges filled in).
+    /// The stage counters, read from its telemetry registry, with the
+    /// residency gauges filled in from the live state.
     pub fn stats(&self) -> TenancyStats {
-        let mut s = self.stats;
-        s.resident_fns = self.lru.len() as u64;
-        s.resident_bytes = self.resident_bytes as u64;
-        s
+        let c = |name| self.stats.counter(name);
+        TenancyStats {
+            matched: c("tenancy.matched"),
+            unmatched: c("tenancy.unmatched"),
+            shed: c("tenancy.shed"),
+            cold_starts: c("tenancy.cold_starts"),
+            evictions: c("tenancy.evictions"),
+            evictions_deferred: c("tenancy.evictions_deferred"),
+            resident_fns: self.lru.len() as u64,
+            resident_bytes: self.resident_bytes as u64,
+        }
+    }
+
+    /// Publishes the `tenancy.resident_fns` / `tenancy.resident_bytes`
+    /// gauges.
+    fn publish_residency(&self) {
+        self.sites.resident_fns.set_with(
+            &self.stats,
+            || "tenancy.resident_fns".to_string(),
+            self.lru.len() as f64,
+        );
+        self.sites.resident_bytes.set_with(
+            &self.stats,
+            || "tenancy.resident_bytes".to_string(),
+            self.resident_bytes as f64,
+        );
     }
 
     /// The match-action decision for one request: match the payload,
@@ -553,11 +601,19 @@ impl Tenancy {
         service: usize,
         payload: &[u8],
     ) -> crate::Result<Admission> {
+        let out = self.admit(now, service, payload);
+        self.publish_residency();
+        out
+    }
+
+    fn admit(&mut self, now: Time, service: usize, payload: &[u8]) -> crate::Result<Admission> {
         let Some(func) = self.registry.match_request(payload) else {
-            self.stats.unmatched += 1;
+            self.sites
+                .unmatched
+                .add(&self.stats, "tenancy.unmatched", 1);
             return Err(Error::Unroutable { service });
         };
-        self.stats.matched += 1;
+        self.sites.matched.add(&self.stats, "tenancy.matched", 1);
         let quota = self.registry.specs[func.0 as usize].quota;
         let st = &mut self.funcs[func.0 as usize];
         let over_in_flight = quota.max_in_flight.is_some_and(|m| st.in_flight >= m);
@@ -567,7 +623,7 @@ impl Tenancy {
             None => false,
         };
         if over_in_flight || over_rate {
-            self.stats.shed += 1;
+            self.sites.shed.add(&self.stats, "tenancy.shed", 1);
             return Err(Error::Overloaded { service });
         }
         let (delay, cold) = self.ensure_resident(now, func);
@@ -584,6 +640,7 @@ impl Tenancy {
         st.in_flight = st.in_flight.saturating_sub(1);
         if st.in_flight == 0 && st.evict_pending {
             self.evict(func);
+            self.publish_residency();
         }
     }
 
@@ -608,7 +665,9 @@ impl Tenancy {
                 }
             }
             Residency::Cold => {
-                self.stats.cold_starts += 1;
+                self.sites
+                    .cold_starts
+                    .add(&self.stats, "tenancy.cold_starts", 1);
                 let footprint = self.registry.specs[fi as usize].footprint_bytes;
                 self.make_room(footprint, func);
                 if self.resident_bytes + footprint <= self.cfg.accel_memory_bytes {
@@ -646,7 +705,9 @@ impl Tenancy {
             if st.in_flight > 0 {
                 if !st.evict_pending {
                     st.evict_pending = true;
-                    self.stats.evictions_deferred += 1;
+                    self.sites
+                        .evictions_deferred
+                        .add(&self.stats, "tenancy.evictions_deferred", 1);
                 }
                 continue;
             }
@@ -670,7 +731,9 @@ impl Tenancy {
         self.resident_bytes = self
             .resident_bytes
             .saturating_sub(self.registry.specs[fi].footprint_bytes);
-        self.stats.evictions += 1;
+        self.sites
+            .evictions
+            .add(&self.stats, "tenancy.evictions", 1);
     }
 
     fn touch(&mut self, func: FnId, seq: u64) {

@@ -645,14 +645,14 @@ fn degraded_hit_pays_the_dispatch_cost_like_a_normal_hit() {
     );
 }
 
-/// A response lost *after* acceptance (pull-side retry give-up) breaks
-/// the per-queue FIFO's request↔response pairing. The matcher must
-/// detect the desync before popping anything — a shifted pop would fill
-/// the cache under the *previous* request's key — discard its state, and
-/// re-sync once the queue drains. Verified from the wire: after the
-/// loss, every key still reads back its own value.
+/// A response lost *after* acceptance (pull-side retry give-up) must
+/// free only its own request's in-flight entry: responses are matched to
+/// requests by ring sequence number, so the responses around the loss
+/// still fill the cache under their own keys — never a neighbour's.
+/// Verified from the wire: after the loss, every key reads back its own
+/// value, and only the lost key misses on its probe.
 #[test]
-fn lost_response_resets_path_matching_instead_of_filling_the_wrong_key() {
+fn lost_response_frees_only_its_own_entry_and_never_fills_the_wrong_key() {
     let mut sim = Sim::new(23);
     let telemetry = sim.enable_telemetry();
     let net = Network::new();
@@ -717,7 +717,7 @@ fn lost_response_resets_path_matching_instead_of_filling_the_wrong_key() {
     }
 
     // Burst: five cold GETs queue together on the lone mqueue, so five
-    // path entries are outstanding when k1's response is discarded.
+    // in-flight entries are outstanding when k1's response is discarded.
     {
         let stack = stack.clone();
         sim.schedule_in(Duration::ZERO, move |sim| {
@@ -729,15 +729,10 @@ fn lost_response_resets_path_matching_instead_of_filling_the_wrong_key() {
     sim.run_for(Duration::from_millis(5));
     assert_eq!(responses.get(), 4, "exactly k1's reply was lost");
     assert_eq!(counter(&telemetry, "rmq.giveups"), 1);
-    assert_eq!(
-        counter(&telemetry, "server.path_resets"),
-        1,
-        "the desync must be detected before any shifted pop"
-    );
 
     // Probes, strictly one at a time: every key must read back its own
-    // value. (Without the reset, k2's response would have popped k1's
-    // entry and cached v2 under k1 — the probe would hit the wrong
+    // value. (Positional matching would have paired k2's response with
+    // k1's entry and cached v2 under k1 — the probe would hit the wrong
     // value straight from the SNIC.)
     for i in 0..5 {
         let before = responses.get();
@@ -748,10 +743,9 @@ fn lost_response_resets_path_matching_instead_of_filling_the_wrong_key() {
     }
 
     let stats = d.server.cache_stats();
-    // Burst: 5 cold misses, only k0's fill lands (k1's response is lost;
-    // k2–k4 arrive while matching is suspended). Probes: k0 hits, k1–k4
-    // miss again — the queue drained, so matching resumed and they fill.
-    assert_eq!(stats.misses, 9, "5 burst misses + 4 probe misses");
-    assert_eq!(stats.hits, 1, "only k0's probe hits");
-    assert_eq!(stats.fills, 5, "k0's burst fill + the four probe refills");
+    // Burst: 5 cold misses; k0 and k2–k4 fill, k1's response is lost and
+    // its lease abandoned. Probes: k1 misses and refills, the rest hit.
+    assert_eq!(stats.misses, 6, "5 burst misses + k1's probe miss");
+    assert_eq!(stats.hits, 4, "every probe but k1's hits");
+    assert_eq!(stats.fills, 5, "four burst fills + k1's probe refill");
 }

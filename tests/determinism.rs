@@ -2,14 +2,23 @@
 //! construction produce bit-identical results, which is what lets every
 //! figure of the paper regenerate exactly.
 
+use std::cell::RefCell;
+use std::fmt;
 use std::rc::Rc;
 use std::time::Duration;
 
+use lynx::apps::kv::{self, KvStore};
 use lynx::core::testbed::{deploy_processor, DeployConfig, Machine};
-use lynx::device::{DelayProcessor, GpuSpec};
+use lynx::core::{
+    BatchPolicy, CacheConfig, CacheOp, CacheProtocol, ControlConfig, FunctionRegistry,
+    FunctionSpec, MatchRule, PipelineConfig, TenancyConfig, TenantQuota,
+};
+use lynx::device::{DelayProcessor, EchoProcessor, GpuSpec, RequestProcessor};
 use lynx::net::{HostStack, LinkSpec, Network, Platform, StackKind, StackProfile};
 use lynx::sim::{MultiServer, SchedulerKind, Sim, Telemetry};
-use lynx::workload::{run_measured, ClosedLoopClient, OpenLoopClient, RunSpec, RunSummary};
+use lynx::workload::{
+    run_measured, ClosedLoopClient, LoadClient, OpenLoopClient, RunSpec, RunSummary, ZipfKeyGen,
+};
 use lynx::{FaultAction, FaultPlan, Trigger};
 
 fn run_once(seed: u64) -> RunSummary {
@@ -156,6 +165,230 @@ fn scheduler_kind_env_escape_hatch_parses() {
     };
     assert_eq!(SchedulerKind::from_env(), expect);
     assert_eq!(SchedulerKind::default(), SchedulerKind::Hybrid);
+}
+
+// ---------------------------------------------------------------------------
+// Golden digests: the event sequence of three fault-free rigs, pinned.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over the counter/gauge snapshot followed by the JSONL trace —
+/// a dependency-free fingerprint of everything a run recorded.
+fn digest(t: &Telemetry) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in t.counters_csv().bytes().chain(t.to_jsonl().bytes()) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+fn client_stack(net: &Network, name: &str) -> HostStack {
+    let host = net.add_host(name, LinkSpec::gbps40());
+    HostStack::new(
+        net,
+        host,
+        MultiServer::new(2, 1.0),
+        StackProfile::of(Platform::Xeon, StackKind::Vma),
+    )
+}
+
+/// The kv wire format as a [`CacheProtocol`].
+#[derive(Clone, Copy, Debug, Default)]
+struct KvWire;
+
+impl CacheProtocol for KvWire {
+    fn classify(&self, payload: &[u8]) -> CacheOp {
+        match kv::Request::decode(payload) {
+            Some(kv::Request::Get { key }) => CacheOp::Get(key),
+            Some(kv::Request::Set { key, .. }) => CacheOp::Set(key),
+            None => CacheOp::Other,
+        }
+    }
+
+    fn cacheable_response(&self, response: &[u8]) -> bool {
+        matches!(kv::Response::decode(response), Some(kv::Response::Value(_)))
+    }
+}
+
+/// A kv store behind a fixed per-request accelerator service time.
+struct SlowKv(RefCell<KvStore>);
+
+impl fmt::Debug for SlowKv {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SlowKv").finish_non_exhaustive()
+    }
+}
+
+impl RequestProcessor for SlowKv {
+    fn name(&self) -> &str {
+        "slow-kv"
+    }
+
+    fn service_time(&self, _request: &[u8]) -> Duration {
+        Duration::from_micros(40)
+    }
+
+    fn process(&self, request: &[u8]) -> Vec<u8> {
+        kv::execute_wire(&mut self.0.borrow_mut(), request)
+    }
+}
+
+/// Batched two-core pipeline with the SNIC cache and the control plane
+/// on: Zipf GETs with every 20th request a SET, from two client hosts so
+/// both pipeline shards see load.
+fn batched_cache_digest(seed: u64) -> u64 {
+    let mut sim = Sim::new(seed);
+    let telemetry = sim.enable_telemetry();
+    let net = Network::new();
+    let machine = Machine::new(&net, "server-0");
+    let gpu = machine.add_gpu(GpuSpec::k40m());
+    let mut store = KvStore::new(1 << 20);
+    for k in 0..200 {
+        store.set(format!("key-{k:06}").into_bytes(), vec![0xEE; 24]);
+    }
+    let cfg = DeployConfig {
+        mqueues_per_gpu: 2,
+        pipeline: PipelineConfig {
+            snic_cores: 2,
+            batch: BatchPolicy::Fixed(4),
+        },
+        control: ControlConfig::default(),
+        cache: CacheConfig {
+            enabled: true,
+            bytes_per_lane: 1 << 12,
+            ..CacheConfig::disabled()
+        },
+        cache_protocol: Some(Rc::new(KvWire)),
+        ..DeployConfig::default()
+    };
+    let d = deploy_processor(
+        &mut sim,
+        &net,
+        &machine,
+        &[machine.gpu_site(&gpu)],
+        &cfg,
+        Rc::new(SlowKv(RefCell::new(store))),
+    );
+    let clients: Vec<ClosedLoopClient> = (0..2u64)
+        .map(|c| {
+            let keys = ZipfKeyGen::new(200, 0.99, seed + c);
+            ClosedLoopClient::new(
+                client_stack(&net, &format!("client-{c}")),
+                d.server_addr,
+                6,
+                Rc::new(move |seq| {
+                    let key = keys.key(seq).into_bytes();
+                    if seq % 20 == 19 {
+                        kv::Request::Set {
+                            key,
+                            val: vec![seq as u8; 24],
+                        }
+                    } else {
+                        kv::Request::Get { key }
+                    }
+                    .encode()
+                }),
+            )
+        })
+        .collect();
+    let refs: Vec<&dyn LoadClient> = clients.iter().map(|c| c as &dyn LoadClient).collect();
+    let summary = run_measured(&mut sim, &refs, RunSpec::quick());
+    assert!(summary.received > 100, "received {}", summary.received);
+    let stats = d.server.cache_stats();
+    assert!(stats.hits > 0 && stats.fills > 0 && stats.invalidations > 0);
+    digest(&telemetry)
+}
+
+/// Unbatched echo with the tenancy stage on: a client sweeping 24
+/// functions through an 8-slot residency budget (cold starts, LRU churn)
+/// and one hammering a quota-zero function.
+fn tenancy_digest(seed: u64) -> u64 {
+    const FUNCS: u32 = 24;
+    let mut sim = Sim::new(seed);
+    let telemetry = sim.enable_telemetry();
+    let net = Network::new();
+    let machine = Machine::new(&net, "server-0");
+    let gpu = machine.add_gpu(GpuSpec::k40m());
+    let mut reg = FunctionRegistry::new();
+    for k in 0..=FUNCS {
+        let quota = if k == FUNCS {
+            TenantQuota::zero()
+        } else {
+            TenantQuota::unlimited()
+        };
+        reg.register(
+            FunctionSpec::new(format!("fn-{k}"), MatchRule::FnKey(k))
+                .footprint(4096)
+                .quota(quota),
+        )
+        .expect("unique keys");
+    }
+    let cfg = DeployConfig {
+        mqueues_per_gpu: 2,
+        tenancy: Some((
+            TenancyConfig {
+                enabled: true,
+                accel_memory_bytes: 8 * 4096,
+                cold_start: Duration::from_micros(100),
+            },
+            reg,
+        )),
+        ..DeployConfig::default()
+    };
+    let d = deploy_processor(
+        &mut sim,
+        &net,
+        &machine,
+        &[machine.gpu_site(&gpu)],
+        &cfg,
+        Rc::new(EchoProcessor),
+    );
+    let payload = |k: u32, seq: u64| {
+        let mut p = k.to_le_bytes().to_vec();
+        p.push(seq as u8);
+        p.resize(16, 0x5A);
+        p
+    };
+    let sweep = ClosedLoopClient::new(
+        client_stack(&net, "client-sweep"),
+        d.server_addr,
+        4,
+        Rc::new(move |s| payload((s % u64::from(FUNCS)) as u32, s)),
+    );
+    let banned = ClosedLoopClient::new(
+        client_stack(&net, "client-banned"),
+        d.server_addr,
+        2,
+        Rc::new(move |s| payload(FUNCS, s)),
+    );
+    let _ = run_measured(
+        &mut sim,
+        &[&sweep as &dyn LoadClient, &banned],
+        RunSpec::quick(),
+    );
+    let st = d.server.tenancy_stats();
+    assert!(st.cold_starts > 0 && st.evictions > 0 && st.shed > 0);
+    digest(&telemetry)
+}
+
+/// Golden digests of three fault-free event sequences. Any change to
+/// them — a reordered trace event, a counter off by one — changes a
+/// digest, so a refactor that claims to keep behaviour must keep these
+/// numbers; a change to the simulated model re-records them and says why.
+#[test]
+fn fault_free_event_sequences_match_golden_digests() {
+    let (echo, _) = traced_run(4242, SchedulerKind::Heap, false);
+    let got = [
+        ("unbatched echo", digest(&echo)),
+        ("batched cache", batched_cache_digest(4242)),
+        ("tenancy", tenancy_digest(4242)),
+    ];
+    let want = [
+        ("unbatched echo", 12_695_318_538_251_120_194),
+        ("batched cache", 16_694_672_008_707_197_382),
+        ("tenancy", 4_331_902_003_074_368_447),
+    ];
+    assert_eq!(got, want, "fault-free event sequence changed");
 }
 
 #[test]

@@ -14,12 +14,16 @@
 //! matrix sweeps it) so every property must hold for *any* seed, not a
 //! hand-picked one.
 
+use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
 use lynx::core::testbed::{deploy_processor, DeployConfig, Machine};
-use lynx::core::MqueueConfig;
-use lynx::device::{DelayProcessor, GpuSpec};
+use lynx::core::{
+    CacheConfig, CacheOp, CacheProtocol, FunctionRegistry, FunctionSpec, MatchRule, MqueueConfig,
+    TenancyConfig,
+};
+use lynx::device::{DelayProcessor, EchoProcessor, GpuSpec};
 use lynx::net::{HostStack, LinkSpec, Network, Platform, StackKind, StackProfile};
 use lynx::sim::{MultiServer, Sim};
 use lynx::workload::{run_measured, ClosedLoopClient, OpenLoopClient, RunSpec, RunSummary};
@@ -202,6 +206,145 @@ fn crashed_worker_is_quarantined_and_survivors_absorb_the_load() {
         faulted.percentile_us(99.0).expect("no latency samples"),
         clean.percentile_us(99.0).expect("no latency samples")
     );
+}
+
+/// Tenant-keyed GETs for the crash drill below: a 4-byte function key,
+/// `G`, then the cache key. Echoed back, each response carries its own
+/// key, so a value served for the wrong key is visible on the wire.
+#[derive(Debug)]
+struct TenantGets;
+
+impl CacheProtocol for TenantGets {
+    fn classify(&self, payload: &[u8]) -> CacheOp {
+        match payload.get(4) {
+            Some(b'G') => CacheOp::Get(payload[5..].to_vec()),
+            _ => CacheOp::Other,
+        }
+    }
+
+    fn cacheable_response(&self, response: &[u8]) -> bool {
+        !response.is_empty()
+    }
+}
+
+fn tenant_get(func: u32, key: &str) -> Vec<u8> {
+    let mut p = func.to_le_bytes().to_vec();
+    p.push(b'G');
+    p.extend_from_slice(key.as_bytes());
+    p
+}
+
+/// A worker crash with the cache and tenancy both on. Tenant A's GET
+/// misses wedge in the dead ring holding fill leases and tenant slots;
+/// tenant B's cold start then defers A's eviction. Quarantining the dead
+/// queue must free those in-flight entries: A's deferred eviction fires,
+/// and every lost key refills on its next miss — no tenant slot or fill
+/// lease leaked.
+#[test]
+fn quarantine_frees_tenant_slots_and_fill_leases_of_the_dead_queue() {
+    let mut sim = Sim::new(fault_seed());
+    let net = Network::new();
+    let machine = Machine::new(&net, "server-0");
+    let gpu = machine.add_gpu(GpuSpec::k40m());
+    let mut reg = FunctionRegistry::new();
+    let fn_a = reg
+        .register(FunctionSpec::new("a", MatchRule::FnKey(1)).footprint(4096))
+        .unwrap();
+    reg.register(FunctionSpec::new("b", MatchRule::FnKey(2)).footprint(4096))
+        .unwrap();
+    let cfg = DeployConfig {
+        mqueues_per_gpu: 2,
+        recovery: RecoveryConfig::default(),
+        cache: CacheConfig {
+            enabled: true,
+            bytes_per_lane: 1 << 16,
+            ..CacheConfig::disabled()
+        },
+        cache_protocol: Some(Rc::new(TenantGets)),
+        tenancy: Some((
+            TenancyConfig {
+                enabled: true,
+                // Room for exactly one resident function.
+                accel_memory_bytes: 4096,
+                cold_start: Duration::from_micros(100),
+            },
+            reg,
+        )),
+        ..DeployConfig::default()
+    };
+    let d = deploy_processor(
+        &mut sim,
+        &net,
+        &machine,
+        &[machine.gpu_site(&gpu)],
+        &cfg,
+        Rc::new(EchoProcessor),
+    );
+    // The second worker dies on its first poll: everything round-robin
+    // sends it is lost.
+    let dead = format!("accel.{}", d.mqueues[1].label());
+    sim.enable_faults(FaultPlan::new(fault_seed()).rule(dead, Trigger::Nth(1), FaultAction::Crash));
+    let addr = d.server_addr;
+
+    // One stack, one source port: one dispatch lane, one cache.
+    let stack = client_stack(&net, "client");
+    let replies: Rc<RefCell<Vec<Vec<u8>>>> = Rc::new(RefCell::new(Vec::new()));
+    {
+        let replies = Rc::clone(&replies);
+        stack.bind_udp_default(move |_, dg| replies.borrow_mut().push(dg.payload.to_vec()));
+    }
+
+    // Burst: four cold GETs of tenant A, alternating across the queues.
+    let keys = ["k0", "k1", "k2", "k3"];
+    for k in keys {
+        stack.send_udp(&mut sim, 9000, addr, tenant_get(1, k));
+    }
+    sim.run_for(Duration::from_millis(1));
+    let lost: Vec<&str> = keys
+        .into_iter()
+        .filter(|k| !replies.borrow().contains(&tenant_get(1, k)))
+        .collect();
+    assert_eq!(lost.len(), 2, "the dead queue swallowed half the burst");
+
+    // Tenant B's cold start needs A's memory, but A is in flight.
+    stack.send_udp(&mut sim, 9000, addr, tenant_get(2, "kb"));
+    sim.run_for(Duration::from_micros(500));
+    let st = d.server.tenancy_stats();
+    assert_eq!((st.evictions_deferred, st.evictions), (1, 0));
+    assert!(
+        d.server.tenancy_resident(fn_a),
+        "A is pinned by its lost requests"
+    );
+
+    // The monitor quarantines the dead queue; its entries are freed.
+    sim.run_for(Duration::from_millis(4));
+    assert_eq!(d.server.quarantined_queues(), 1);
+    assert_eq!(
+        d.server.tenancy_stats().evictions,
+        1,
+        "A's deferred eviction fired once its lost requests were freed"
+    );
+    assert!(!d.server.tenancy_resident(fn_a));
+
+    // Each lost key misses and refills (its abandoned lease is free
+    // again), then hits — and always reads back its own value.
+    let before = d.server.cache_stats();
+    for round in 0..2 {
+        for k in &lost {
+            replies.borrow_mut().clear();
+            stack.send_udp(&mut sim, 9000, addr, tenant_get(1, k));
+            sim.run_for(Duration::from_millis(1));
+            assert_eq!(
+                *replies.borrow(),
+                vec![tenant_get(1, k)],
+                "probe {k} (round {round}) must read back its own value"
+            );
+        }
+    }
+    let after = d.server.cache_stats();
+    assert_eq!(after.misses - before.misses, 2, "one miss per lost key");
+    assert_eq!(after.fills - before.fills, 2, "each lost key refilled");
+    assert_eq!(after.hits - before.hits, 2, "then hit");
 }
 
 /// One full faulted run: packet-drop chance + periodic CQE errors + a
