@@ -15,7 +15,7 @@ use lynx::core::{
 };
 use lynx::device::{DelayProcessor, EchoProcessor, GpuSpec, RequestProcessor};
 use lynx::net::{HostStack, LinkSpec, Network, Platform, StackKind, StackProfile};
-use lynx::sim::{MultiServer, SchedulerKind, Sim, Telemetry};
+use lynx::sim::{MultiServer, Sim, Telemetry};
 use lynx::workload::{
     run_measured, ClosedLoopClient, LoadClient, OpenLoopClient, RunSpec, RunSummary, ZipfKeyGen,
 };
@@ -68,10 +68,10 @@ fn identical_seeds_reproduce_bit_identical_results() {
     assert_eq!(a.latency.mean(), b.latency.mean());
 }
 
-/// One fully-traced closed-loop run of the whole Lynx pipeline under an
-/// explicit scheduler backend, optionally with a fault plan armed.
-fn traced_run(seed: u64, kind: SchedulerKind, faults: bool) -> (Telemetry, RunSummary) {
-    let mut sim = Sim::with_scheduler(seed, kind);
+/// One fully-traced closed-loop run of the whole Lynx pipeline,
+/// optionally with a fault plan armed.
+fn traced_run(seed: u64, faults: bool) -> (Telemetry, RunSummary) {
+    let mut sim = Sim::new(seed);
     let telemetry = sim.enable_telemetry();
     let net = Network::new();
     let machine = Machine::new(&net, "server-0");
@@ -117,54 +117,36 @@ fn traced_run(seed: u64, kind: SchedulerKind, faults: bool) -> (Telemetry, RunSu
     (telemetry, summary)
 }
 
-/// Every scheduler backend is an exact drop-in for the binary-heap
-/// oracle: a same-seed end-to-end run produces byte-identical telemetry
-/// under wheel, heap, and the adaptive hybrid — same trace bytes, same
-/// counter and gauge snapshots, same summary. This is the differential
-/// guarantee that lets the engine pick a backend per deployment without
-/// any figure shifting by a byte.
+/// A same-seed end-to-end run repeats byte for byte, with and without
+/// faults: same trace bytes, same counter and gauge snapshots, same
+/// summary. This is the guarantee that lets every figure regenerate
+/// without shifting by a byte.
 #[test]
-fn wheel_and_heap_schedulers_are_observably_identical() {
+fn same_seed_traced_runs_are_byte_identical() {
     for faults in [false, true] {
-        let (heap_t, heap_s) = traced_run(4242, SchedulerKind::Heap, faults);
-        assert!(heap_t.event_count() > 1_000, "trace must be non-trivial");
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Hybrid] {
-            let (t, s) = traced_run(4242, kind, faults);
-            assert_eq!(
-                t.to_jsonl(),
-                heap_t.to_jsonl(),
-                "trace bytes diverge (kind={kind:?}, faults={faults})"
-            );
-            assert_eq!(t.to_chrome_trace(), heap_t.to_chrome_trace());
-            assert_eq!(
-                t.counters_csv(),
-                heap_t.counters_csv(),
-                "counter snapshots diverge (kind={kind:?}, faults={faults})"
-            );
-            assert_eq!(t.counters(), heap_t.counters());
-            assert_eq!(t.gauges(), heap_t.gauges());
-            assert_eq!(s.sent, heap_s.sent);
-            assert_eq!(s.received, heap_s.received);
-            assert_eq!(s.throughput, heap_s.throughput);
-            for p in [1.0, 50.0, 99.0, 99.9] {
-                assert_eq!(s.latency.percentile(p), heap_s.latency.percentile(p));
-            }
+        let (first_t, first_s) = traced_run(4242, faults);
+        assert!(first_t.event_count() > 1_000, "trace must be non-trivial");
+        let (t, s) = traced_run(4242, faults);
+        assert_eq!(
+            t.to_jsonl(),
+            first_t.to_jsonl(),
+            "trace bytes diverge (faults={faults})"
+        );
+        assert_eq!(t.to_chrome_trace(), first_t.to_chrome_trace());
+        assert_eq!(
+            t.counters_csv(),
+            first_t.counters_csv(),
+            "counter snapshots diverge (faults={faults})"
+        );
+        assert_eq!(t.counters(), first_t.counters());
+        assert_eq!(t.gauges(), first_t.gauges());
+        assert_eq!(s.sent, first_s.sent);
+        assert_eq!(s.received, first_s.received);
+        assert_eq!(s.throughput, first_s.throughput);
+        for p in [1.0, 50.0, 99.0, 99.9] {
+            assert_eq!(s.latency.percentile(p), first_s.latency.percentile(p));
         }
     }
-}
-
-/// `LYNX_SCHED=wheel|heap|hybrid` is the escape hatch: `Sim::new`
-/// consults the env var (unset means the adaptive hybrid default),
-/// `Sim::with_scheduler` pins the backend explicitly.
-#[test]
-fn scheduler_kind_env_escape_hatch_parses() {
-    let expect = match std::env::var("LYNX_SCHED") {
-        Ok(v) if v.eq_ignore_ascii_case("heap") => SchedulerKind::Heap,
-        Ok(v) if v.eq_ignore_ascii_case("wheel") => SchedulerKind::Wheel,
-        _ => SchedulerKind::Hybrid,
-    };
-    assert_eq!(SchedulerKind::from_env(), expect);
-    assert_eq!(SchedulerKind::default(), SchedulerKind::Hybrid);
 }
 
 // ---------------------------------------------------------------------------
@@ -375,18 +357,22 @@ fn tenancy_digest(seed: u64) -> u64 {
 /// them — a reordered trace event, a counter off by one — changes a
 /// digest, so a refactor that claims to keep behaviour must keep these
 /// numbers; a change to the simulated model re-records them and says why.
+///
+/// Last re-recorded when the scheduler observer's `sched.pending` and
+/// `sched.near_frac` gauges were deleted: the new values equal the old
+/// digests computed with those two gauge rows left out.
 #[test]
 fn fault_free_event_sequences_match_golden_digests() {
-    let (echo, _) = traced_run(4242, SchedulerKind::Heap, false);
+    let (echo, _) = traced_run(4242, false);
     let got = [
         ("unbatched echo", digest(&echo)),
         ("batched cache", batched_cache_digest(4242)),
         ("tenancy", tenancy_digest(4242)),
     ];
     let want = [
-        ("unbatched echo", 12_695_318_538_251_120_194),
-        ("batched cache", 16_694_672_008_707_197_382),
-        ("tenancy", 4_331_902_003_074_368_447),
+        ("unbatched echo", 17_980_625_673_033_451_755),
+        ("batched cache", 14_846_610_680_812_027_808),
+        ("tenancy", 17_972_162_130_573_475_646),
     ];
     assert_eq!(got, want, "fault-free event sequence changed");
 }
